@@ -18,14 +18,15 @@ from .cnf import (
     substitute,
     unit_clause_polarity,
 )
-from .combined import Exit, SolverOutcome, delppz_iteration, run_delppz
+from .combined import Algorithm, Exit, SolverOutcome, delppz_iteration, run, run_delppz
 from .deletion import del_iteration, delete_random_literals
 from .generators import random_3cnf, xor_chain
-from .ppz import PpzTrace, ppz_iteration, run_ppz
+from .ppz import PpzTrace, ppz_iteration
 from .rng import RandomSource, derive_seed
 from .twosat import solve_2sat
 
 __all__ = [
+    "Algorithm",
     "Assignment",
     "Clause",
     "CnfFormula",
@@ -43,8 +44,8 @@ __all__ = [
     "parse_dimacs",
     "ppz_iteration",
     "random_3cnf",
+    "run",
     "run_delppz",
-    "run_ppz",
     "solve_2sat",
     "substitute",
     "unit_clause_polarity",

@@ -11,7 +11,6 @@ combined solver's bound.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnf import Assignment, Clause, CnfFormula, evaluate
-from .combined import delppz_success
+from .combined import Algorithm, delppz_success
 from .deletion import del_success
 from .ppz import ppz_success
 from .rng import RandomSource
@@ -34,12 +33,6 @@ LOG2_3_2 = math.log2(1.5)
 CROSSOVER_T_AV = 2.0 / (3.0 * LOG2_3_2)
 
 _Z95 = 1.959963984540054
-
-
-class Algorithm(enum.Enum):
-    PPZ = "ppz"
-    DEL = "del"
-    DELPPZ = "delppz"
 
 
 _SUCCESS_FN = {
@@ -164,7 +157,7 @@ def ppz_bound(n: int) -> float:
     return 2.0 ** (-2.0 * n / 3.0)
 
 
-def del_bound(c: int) -> float:
+def del_bound(c: float) -> float:
     """Per-solution success of the deletion solver, (2/3)^c."""
     if c < 0:
         raise ValueError("c must be >= 0")

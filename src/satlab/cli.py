@@ -12,17 +12,16 @@ import argparse
 import sys
 
 from . import analysis
-from .analysis import Algorithm
-from .cnf import CnfFormula, emit_dimacs, evaluate, parse_dimacs
-from .combined import DEFAULT_BUDGET_CAP, Exit, default_omega, run_delppz
-from .deletion import del_iteration
+from .cnf import CnfFormula, check_satisfies, emit_dimacs, parse_dimacs
+from .combined import DEFAULT_BUDGET_CAP, Algorithm, Exit, run
 from .generators import random_3cnf, xor_chain
-from .ppz import ppz_iteration
-from .rng import RandomSource
 
 EXIT_SAT = 10
 EXIT_UNKNOWN = 20
 EXIT_ERROR = 1
+
+ALGORITHMS = [a.value for a in Algorithm]
+EXIT_SITES = {Exit.DEL: "2-SAT", Exit.PPZ: "assembled assignment"}
 
 
 def main(argv=None) -> int:
@@ -44,9 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a DIMACS 3-CNF file")
     p.add_argument("file")
-    p.add_argument(
-        "--algorithm", choices=["ppz", "del", "delppz"], default="delppz"
-    )
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="delppz")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--omega", type=int, help="number of trials (default n*1.5875^n)")
     p.add_argument("--budget-cap", type=int, default=DEFAULT_BUDGET_CAP)
@@ -60,9 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="Monte Carlo success-probability estimate")
     p.add_argument("file")
-    p.add_argument(
-        "--algorithm", choices=["ppz", "del", "delppz"], default="delppz"
-    )
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="delppz")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_estimate)
@@ -98,32 +93,11 @@ def _load_3cnf(path: str) -> CnfFormula:
 def cmd_solve(args) -> int:
     formula = _load_3cnf(args.file)
     n = formula.num_vars
-    if args.algorithm == "delppz":
-        outcome = run_delppz(
-            formula, args.seed, omega=args.omega, budget_cap=args.budget_cap
-        )
-        alpha = outcome.assignment
-        trials = outcome.trials
-        if alpha is not None:
-            exit_site = "2-SAT" if outcome.exit is Exit.DEL else "assembled assignment"
-            print(f"c satisfied via {exit_site} after {trials} trial(s)")
-    else:
-        omega = args.omega if args.omega is not None else default_omega(n, args.budget_cap)
-        omega = min(omega, args.budget_cap)
-        if omega < 1:
-            raise ValueError("omega must be >= 1")
-        alpha = None
-        trials = omega
-        for trial in range(omega):
-            rng = RandomSource.for_trial(args.seed, trial)
-            if args.algorithm == "ppz":
-                alpha, _ = ppz_iteration(formula, rng)
-            else:
-                alpha = del_iteration(formula, rng)
-            if alpha is not None:
-                trials = trial + 1
-                print(f"c satisfied after {trials} trial(s)")
-                break
+    algorithm = Algorithm(args.algorithm)
+    outcome = run(
+        formula, algorithm, args.seed, omega=args.omega, budget_cap=args.budget_cap
+    )
+    alpha, trials = outcome.assignment, outcome.trials
     if alpha is None:
         print("s UNKNOWN")
         print(
@@ -131,7 +105,9 @@ def cmd_solve(args) -> int:
             "this is not an unsatisfiability proof"
         )
         return EXIT_UNKNOWN
-    assert evaluate(formula, alpha)
+    via = f" via {EXIT_SITES[outcome.exit]}" if algorithm is Algorithm.DELPPZ else ""
+    print(f"c satisfied{via} after {trials} trial(s)")
+    check_satisfies(formula, alpha)
     print("s SATISFIABLE")
     lits = " ".join(str(v if alpha[v] else -v) for v in range(1, n + 1))
     print(f"v {lits} 0")
@@ -243,7 +219,7 @@ def cmd_bounds(args) -> int:
     ppz = analysis.ppz_bound(n)
     for k in range(args.steps + 1):
         t_av = lo + (hi - lo) * k / args.steps
-        del_b = (2.0 / 3.0) ** (t_av * n)  # c = t_av * n in the s=1, l=0 regime
+        del_b = analysis.del_bound(t_av * n)  # c = t_av * n in the s=1, l=0 regime
         combined = analysis.delppz_bound(n, s, t_av)
         if args.log:
             row = (math.log10(ppz), math.log10(del_b), math.log10(combined))

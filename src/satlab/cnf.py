@@ -68,13 +68,17 @@ def parse_dimacs(text: str) -> CnfFormula:
 
     Duplicate literals within a clause are collapsed; a clause containing a
     variable in both polarities is rejected as tautological.  A mismatch
-    between the declared and actual clause count is a warning only.
+    between the declared and actual clause count is a warning only.  A line
+    that is exactly ``%`` ends the input, as in the SATLIB benchmark files,
+    which follow it with a stray ``0``.
     """
     num_vars = None
     declared_clauses = None
     tokens: list[int] = []
     for raw_line in text.replace("\r\n", "\n").split("\n"):
         line = raw_line.strip()
+        if line == "%":
+            break
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
@@ -153,6 +157,16 @@ def evaluate(formula: CnfFormula, alpha: Assignment) -> bool:
         else:
             return False
     return True
+
+
+def check_satisfies(formula: CnfFormula, alpha: Assignment) -> None:
+    """Raise unless alpha satisfies the formula.
+
+    The one-sided-error gate of every solver path that returns an
+    assignment; unlike ``assert`` it survives ``python -O``.
+    """
+    if not evaluate(formula, alpha):
+        raise RuntimeError("solver produced an assignment that falsifies its input")
 
 
 def substitute(formula: CnfFormula, variable: int, value: bool) -> SubstitutionResult:

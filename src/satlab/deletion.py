@@ -9,7 +9,7 @@ the input; the solver therefore has one-sided error.
 
 from __future__ import annotations
 
-from .cnf import Assignment, CnfFormula, evaluate
+from .cnf import Assignment, CnfFormula, check_satisfies
 from .rng import RandomSource
 from .twosat import solve_2sat_clauses
 
@@ -52,7 +52,7 @@ def del_iteration(formula: CnfFormula, rng: RandomSource) -> Assignment | None:
     if values is None:
         return None
     alpha = {v: values[v] for v in range(1, formula.num_vars + 1)}
-    assert evaluate(formula, alpha)
+    check_satisfies(formula, alpha)
     return alpha
 
 

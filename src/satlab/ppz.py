@@ -2,7 +2,8 @@
 
 One iteration draws a uniform permutation of the variables; each variable
 in turn is forced by a pending unit clause when one exists, otherwise set
-by a fair coin, and the formula is restricted accordingly.  The assembled
+by a fair coin, and the formula is restricted accordingly.  This is the
+walk of ``combined.walk`` with the deletion route off.  The assembled
 assignment is returned only if it satisfies the original formula, so the
 solver has one-sided error.
 """
@@ -11,21 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import Assignment, CnfFormula, evaluate, substitute_clauses
+from .cnf import Assignment, CnfFormula, check_satisfies
+from .combined import Exit, Recorder, Step, walk
 from .rng import RandomSource
-
-
-@dataclass(frozen=True)
-class PpzStep:
-    variable: int
-    forced: bool
-    value: bool
 
 
 @dataclass(frozen=True)
 class PpzTrace:
     permutation: tuple[int, ...]
-    steps: tuple[PpzStep, ...]
+    steps: tuple[Step, ...]
 
     def unforced_count(self) -> int:
         return sum(1 for s in self.steps if not s.forced)
@@ -37,57 +32,15 @@ def ppz_iteration(
     """Run one iteration; returns (satisfying assignment or None, trace)."""
     if not formula.is_3cnf():
         raise ValueError("ppz_iteration requires a 3-CNF formula")
-    n = formula.num_vars
-    perm = rng.permutation(n)
-    clauses = list(formula.clauses)
-    alpha: Assignment = {}
-    steps = []
-    for v in perm:
-        polarity = None
-        for clause in clauses:
-            if len(clause) == 1 and (clause[0] == v or clause[0] == -v):
-                polarity = clause[0] > 0
-                break
-        if polarity is None:
-            value = rng.coin()
-            forced = False
-        else:
-            value = polarity
-            forced = True
-        alpha[v] = value
-        steps.append(PpzStep(v, forced, value))
-        clauses, _ = substitute_clauses(clauses, v if value else -v)
-    trace = PpzTrace(tuple(perm), tuple(steps))
-    if evaluate(formula, alpha):
-        return alpha, trace
-    return None, trace
+    recorder = Recorder()
+    site, alpha, _ = walk(formula, rng, False, recorder)
+    trace = PpzTrace(recorder.permutation, tuple(recorder.steps))
+    if site is Exit.FAILED:
+        return None, trace
+    check_satisfies(formula, alpha)
+    return alpha, trace
 
 
 def ppz_success(formula: CnfFormula, rng: RandomSource) -> bool:
     """Trace-free fast path for trial counting; same draws as ppz_iteration."""
-    n = formula.num_vars
-    perm = rng.permutation(n)
-    clauses = list(formula.clauses)
-    alpha: Assignment = {}
-    for v in perm:
-        polarity = None
-        for clause in clauses:
-            if len(clause) == 1 and (clause[0] == v or clause[0] == -v):
-                polarity = clause[0] > 0
-                break
-        value = rng.coin() if polarity is None else polarity
-        alpha[v] = value
-        clauses, _ = substitute_clauses(clauses, v if value else -v)
-    return evaluate(formula, alpha)
-
-
-def run_ppz(formula: CnfFormula, iterations: int, seed: int) -> Assignment | None:
-    """Repeat independent iterations; first satisfying assignment wins."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    for trial in range(iterations):
-        alpha, _ = ppz_iteration(formula, RandomSource.for_trial(seed, trial))
-        if alpha is not None:
-            assert evaluate(formula, alpha)
-            return alpha
-    return None
+    return walk(formula, rng, False)[0] is not Exit.FAILED

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import satlab
 from satlab.analysis import CROSSOVER_T_AV
 from satlab.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, main
 from satlab.cnf import evaluate, parse_dimacs
@@ -54,6 +59,30 @@ class TestSolve:
         code = main(["solve", unsat_file, "--omega", "3"])
         assert code == EXIT_UNKNOWN
         assert "3 trial(s)" in capsys.readouterr().out
+
+    def test_one_sided_gate_survives_optimize(self, xor1_file):
+        # Under -O the first assert is stripped; the gate must still raise
+        # on a falsifying assignment and pass a satisfying one.
+        script = (
+            "import sys\n"
+            "from satlab.cli import main\n"
+            "from satlab.cnf import CnfFormula, check_satisfies\n"
+            "assert False\n"
+            "try:\n"
+            "    check_satisfies(CnfFormula(1, ((1,),)), {1: False})\n"
+            "except RuntimeError:\n"
+            "    sys.exit(main(['solve', sys.argv[1], '--seed', '0']))\n"
+            "sys.exit('falsifying assignment passed the gate')\n"
+        )
+        src = str(Path(satlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, xor1_file],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_SAT, proc.stderr
+        assert "s SATISFIABLE" in proc.stdout
 
 
 class TestAnalyze:

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +84,17 @@ class TestParseDimacs:
     def test_unterminated_clause(self):
         with pytest.raises(DimacsError, match="0-terminated"):
             parse_dimacs("p cnf 2 1\n1 2")
+
+    def test_satlib_end_marker(self):
+        text = "c uf-style\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n%\n0\n\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = parse_dimacs(text)
+        assert f == CnfFormula(3, ((1, -2, 3), (-1, 2)))
+
+    def test_data_before_problem_line_rejected_with_end_marker(self):
+        with pytest.raises(DimacsError, match="before problem line"):
+            parse_dimacs("1 2 0\np cnf 2 1\n1 2 0\n%\n0\n")
 
 
 class TestEmitDimacs:

@@ -2,11 +2,13 @@ import pytest
 
 from satlab.cnf import CnfFormula, evaluate
 from satlab.combined import (
+    Algorithm,
     Exit,
     SolverOutcome,
     default_omega,
     delppz_iteration,
     delppz_success,
+    run,
     run_delppz,
 )
 from satlab.generators import random_3cnf, xor_chain
@@ -83,6 +85,18 @@ def test_monotone_critical_counts_on_xor_chain():
             assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
+def test_failed_trace_stops_at_the_conflicting_step():
+    # whichever of variables 1 and 2 comes first in the permutation meets
+    # contradictory unit clauses, at step 1 or 2 of 3
+    f = CnfFormula(3, ((1,), (-1,), (2,), (-2,)))
+    for seed in range(50):
+        outcome, trace = delppz_iteration(f, RandomSource(seed))
+        assert outcome.exit is Exit.FAILED
+        assert len(trace.steps) < f.num_vars
+        assert trace.steps[-1].variable in (1, 2)
+        assert all(s.variable == 3 for s in trace.steps[:-1])
+
+
 def test_tracking_disabled_by_default():
     _, trace = delppz_iteration(xor_chain(1), RandomSource(0))
     assert trace.critical_counts == ()
@@ -94,6 +108,29 @@ def test_default_omega():
     assert default_omega(2) == 6  # ceil(2 * 1.5875^2)
     assert default_omega(9) == math.ceil(9 * 1.5875**9)
     assert default_omega(30, budget_cap=1000) == 1000
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+def test_run_finds_satisfying_assignment(algorithm):
+    f = CnfFormula(2, ((1, 2),))
+    outcome = run(f, algorithm, seed=7, omega=1000)
+    assert outcome.exit is not Exit.FAILED
+    assert evaluate(f, outcome.assignment)
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+def test_run_unsat_returns_failed(algorithm):
+    f = CnfFormula(1, ((1,), (-1,)))
+    outcome = run(f, algorithm, seed=0, omega=50)
+    assert outcome.exit is Exit.FAILED
+    assert outcome.assignment is None
+    assert outcome.trials == 50
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+def test_run_rejects_zero_omega(algorithm):
+    with pytest.raises(ValueError):
+        run(CnfFormula(1, ((1,),)), algorithm, seed=0, omega=0)
 
 
 def test_run_delppz_small_satisfiable():

@@ -3,7 +3,7 @@ import pytest
 from satlab.analysis import exact_ppz_success
 from satlab.cnf import CnfFormula, evaluate
 from satlab.generators import random_3cnf, xor_chain
-from satlab.ppz import ppz_iteration, ppz_success, run_ppz
+from satlab.ppz import ppz_iteration, ppz_success
 from satlab.rng import RandomSource
 
 from conftest import binomial_sigma, brute_force_solutions
@@ -75,23 +75,6 @@ def test_reproducibility_order_independent():
     for trial in range(6):
         alpha, trace = ppz_iteration(f, RandomSource.for_trial(99, trial))
         assert outcomes[trial] == (alpha, trace)
-
-
-def test_run_ppz_finds_satisfying_assignment():
-    f = CnfFormula(2, ((1, 2),))
-    alpha = run_ppz(f, iterations=1000, seed=7)
-    assert alpha is not None
-    assert evaluate(f, alpha)
-
-
-def test_run_ppz_unsat_returns_none():
-    f = CnfFormula(1, ((1,), (-1,)))
-    assert run_ppz(f, iterations=50, seed=0) is None
-
-
-def test_run_ppz_rejects_zero_iterations():
-    with pytest.raises(ValueError):
-        run_ppz(CnfFormula(1, ((1,),)), iterations=0, seed=0)
 
 
 def test_rejects_wide_formula():
