@@ -14,11 +14,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .cnf import Assignment, Clause, CnfFormula, evaluate
-from .combined import Algorithm, delppz_success
+from .combined import Algorithm, SolutionMasks, delppz_success
 from .deletion import del_success
 from .ppz import ppz_success
 from .rng import RandomSource
@@ -40,6 +41,9 @@ _SUCCESS_FN = {
     Algorithm.DEL: del_success,
     Algorithm.DELPPZ: delppz_success,
 }
+# The functions SolutionMasks reproduces.  estimate_tau calls a table entry
+# that is not among them, such as an instrumenting wrapper, on every trial.
+_KERNEL_FN = dict(_SUCCESS_FN)
 
 
 @dataclass(frozen=True)
@@ -207,14 +211,29 @@ def estimate_tau(
     """Monte Carlo per-iteration success probability with 95% Wilson CI.
 
     Trial t draws from a stream derived purely from (seed, t), so results
-    are independent of execution order.
+    are independent of execution order.  When the 2^n scan of
+    ``enumerate_solutions`` takes no more steps than the trials' own walks
+    (2^n <= trials * n), the trials run on ``SolutionMasks``, which gives
+    each of them the outcome of the walk-based success function.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
+    if not formula.is_3cnf():
+        raise ValueError("estimate_tau requires a 3-CNF formula")
     success_fn = _SUCCESS_FN[algorithm]
+    n = formula.num_vars
+    if (
+        success_fn is _KERNEL_FN[algorithm]
+        and n <= ENUMERATION_GUARD
+        and (1 << n) <= trials * n
+    ):
+        masks = SolutionMasks(formula, enumerate_solutions(formula).masks)
+        succeeds = partial(masks.success, algorithm)
+    else:
+        succeeds = partial(success_fn, formula)
     successes = 0
     for trial in range(trials):
-        if success_fn(formula, RandomSource.for_trial(seed, trial)):
+        if succeeds(RandomSource.for_trial(seed, trial)):
             successes += 1
     low, high = wilson_interval(successes, trials)
     point = successes / trials
@@ -286,13 +305,13 @@ def exact_ppz_success(
                 if len(clause) == 1 and abs(clause[0]) == v:
                     polarity = clause[0] > 0
                     break
-            if polarity is not None:
-                next_clauses, _ = substitute_clauses(clauses, v if polarity else -v)
-                stack.append((i + 1, next_clauses, {**alpha, v: polarity}, weight))
+            if polarity is None:
+                branches = ((False, weight / 2.0), (True, weight / 2.0))
             else:
-                for value in (False, True):
-                    next_clauses, _ = substitute_clauses(clauses, v if value else -v)
-                    stack.append(
-                        (i + 1, next_clauses, {**alpha, v: value}, weight / 2.0)
-                    )
+                branches = ((polarity, weight),)
+            for value, w in branches:
+                next_clauses, conflict = substitute_clauses(clauses, v if value else -v)
+                # A conflicted branch adds 0 to the total, so it is not pushed.
+                if not conflict:
+                    stack.append((i + 1, next_clauses, {**alpha, v: value}, w))
     return total / count

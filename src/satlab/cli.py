@@ -13,7 +13,14 @@ import sys
 
 from . import analysis
 from .cnf import CnfFormula, check_satisfies, emit_dimacs, parse_dimacs
-from .combined import DEFAULT_BUDGET_CAP, Algorithm, Exit, run
+from .combined import (
+    DEFAULT_BUDGET_CAP,
+    Algorithm,
+    Exit,
+    default_omega,
+    run,
+    worst_case_omega,
+)
 from .generators import random_3cnf, xor_chain
 
 EXIT_SAT = 10
@@ -104,14 +111,23 @@ def cmd_solve(args) -> int:
             f"c no satisfying assignment found in {trials} trial(s); "
             "this is not an unsatisfiability proof"
         )
-        return EXIT_UNKNOWN
-    via = f" via {EXIT_SITES[outcome.exit]}" if algorithm is Algorithm.DELPPZ else ""
-    print(f"c satisfied{via} after {trials} trial(s)")
-    check_satisfies(formula, alpha)
-    print("s SATISFIABLE")
-    lits = " ".join(str(v if alpha[v] else -v) for v in range(1, n + 1))
-    print(f"v {lits} 0")
-    return EXIT_SAT
+        code = EXIT_UNKNOWN
+    else:
+        via = ""
+        if algorithm is Algorithm.DELPPZ:
+            via = f" via {EXIT_SITES[outcome.exit]}"
+        print(f"c satisfied{via} after {trials} trial(s)")
+        check_satisfies(formula, alpha)
+        print("s SATISFIABLE")
+        lits = " ".join(str(v if alpha[v] else -v) for v in range(1, n + 1))
+        print(f"v {lits} 0")
+        code = EXIT_SAT
+    if args.omega is None and worst_case_omega(n) > args.budget_cap:
+        print(
+            f"c trial budget clipped to {default_omega(n, args.budget_cap)}; "
+            "the e^-n error bound no longer holds"
+        )
+    return code
 
 
 def _alpha_bits(alpha, n: int) -> str:

@@ -137,6 +137,98 @@ def walk(
     return Exit.PPZ, fixed, None
 
 
+class SolutionMasks:
+    """Exact per-trial success of the three iterations, given the solution set.
+
+    Bit i of every mask stands for solution i of ``solutions`` (bit v-1 of
+    a solution holds the value of variable v), and ``cons`` is the set of
+    solutions that extend the values a walk has fixed so far.  A walk
+    succeeds iff its final assignment, the one member of ``cons`` once every
+    variable is set, is a solution.  Its deletion route succeeds at a step
+    iff some solution in ``cons`` satisfies every width-3 clause with no
+    fixed variable, narrowed by its drawn literal deletion: every other
+    residual clause holds under any solution that extends the fixed values.
+    ``success`` makes the draws of ``walk`` and ``del_success`` in the same
+    order, so a stream gives it the same outcome as them.  It stops at an
+    empty ``cons``, where neither route can succeed any more; the draws a
+    failed trial leaves unused belong to no other trial.
+    """
+
+    def __init__(self, formula: CnfFormula, solutions):
+        if not formula.is_3cnf():
+            raise ValueError("SolutionMasks requires a 3-CNF formula")
+        n = self.n = formula.num_vars
+        solutions = sorted(solutions)
+        self.full = (1 << len(solutions)) - 1
+        # extends[v][value]: the solutions giving v that value.  fixes[v][value]
+        # is its bit in a walk's ``state``: v - 1 for True, n + v - 1 for False.
+        self.extends = [(0, 0)]
+        self.fixes = [(0, 0)]
+        for v in range(1, n + 1):
+            true = sum(1 << i for i, s in enumerate(solutions) if s >> (v - 1) & 1)
+            self.extends.append((self.full & ~true, true))
+            self.fixes.append((1 << (n + v - 1), 1 << (v - 1)))
+
+        def holds(lit):  # solutions satisfying the literal
+            return self.extends[abs(lit)][lit > 0]
+
+        def falsified(lit):  # state bit of the value falsifying the literal
+            return self.fixes[abs(lit)][lit < 0]
+
+        # forcing[v]: in clause order, (pattern, value) for each clause that is
+        # a unit on v once every state bit of the pattern is set.
+        self.forcing = [[] for _ in range(n + 1)]
+        # wide: for each width-3 clause, its variables' state bits and the
+        # solutions satisfying it with literal d deleted, for d = 0, 1, 2.
+        self.wide = []
+        for clause in formula.clauses:
+            for lit in clause:
+                pattern = 0
+                for other in clause:
+                    if other != lit:
+                        pattern |= falsified(other)
+                self.forcing[abs(lit)].append((pattern, lit > 0))
+            if len(clause) == 3:
+                a, b, c = map(holds, clause)
+                touched = 0
+                for lit in clause:
+                    touched |= self.fixes[abs(lit)][0] | self.fixes[abs(lit)][1]
+                self.wide.append((touched, (b | c, a | c, a | b)))
+
+    def success(self, algorithm: Algorithm, rng: RandomSource) -> bool:
+        """The outcome of one trial of ``algorithm`` on the stream ``rng``."""
+        if algorithm is Algorithm.DEL:
+            return self.route(self.full, 0, rng)
+        return self.walk(rng, algorithm is Algorithm.DELPPZ)
+
+    def walk(self, rng: RandomSource, route: bool) -> bool:
+        """``walk`` over masks: True iff it would not exit ``Exit.FAILED``."""
+        forcing, fixes, extends = self.forcing, self.fixes, self.extends
+        cons = self.full
+        state = 0
+        for v in rng.permutation(self.n):
+            if route and self.route(cons, state, rng):
+                return True
+            for pattern, value in forcing[v]:
+                if state & pattern == pattern:
+                    break
+            else:
+                value = rng.coin()
+            state |= fixes[v][value]
+            cons &= extends[v][value]
+            if not cons:
+                return False
+        return True
+
+    def route(self, cons: int, state: int, rng: RandomSource) -> bool:
+        """One deletion route from the fixed values ``state``, whose solutions
+        are ``cons``: one ``rng.index(3)`` per untouched width-3 clause."""
+        for touched, narrowed in self.wide:
+            if not state & touched:
+                cons &= narrowed[rng.index(3)]
+        return cons != 0
+
+
 def delppz_iteration(
     formula: CnfFormula,
     rng: RandomSource,
@@ -170,15 +262,23 @@ def delppz_success(formula: CnfFormula, rng: RandomSource) -> bool:
     return walk(formula, rng, True)[0] is not Exit.FAILED
 
 
+def worst_case_omega(n: int) -> float:
+    """Trial count n * r^n for worst-case rate r, which bounds the error by e^-n."""
+    try:
+        return n * WORST_CASE_RATE**n
+    except OverflowError:  # the float power overflows from n = 1536 on
+        return math.inf
+
+
 def default_omega(n: int, budget_cap: int = DEFAULT_BUDGET_CAP) -> int:
-    """Trial count n * r^n for worst-case rate r, clipped to the budget cap.
+    """``worst_case_omega(n)`` rounded up and clipped to the budget cap.
 
     The instance-optimal trial count needs the unknown per-iteration
     success probability; the worst-case bound keeps the error contract
     while staying runnable.
     """
-    raw = math.ceil(n * WORST_CASE_RATE**n)
-    return max(1, min(raw, budget_cap))
+    raw = worst_case_omega(n)
+    return max(1, budget_cap if raw > budget_cap else math.ceil(raw))
 
 
 def run(

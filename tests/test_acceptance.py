@@ -164,6 +164,7 @@ def test_criterion_4_del_exactness_and_bound(report):
 
 
 def test_criterion_5_combination_dominance(report):
+    start = time.perf_counter()
     instances = [("xor1", xor_chain(1)), ("xor2", xor_chain(2))]
     instances += [
         (f"rand{i}", f) for i, f in enumerate(satisfiable_corpus(20))
@@ -186,10 +187,11 @@ def test_criterion_5_combination_dominance(report):
             f"  {name}: ppz={p_ppz:.4f} del={p_del:.4f} combined={p_combo:.4f}"
         )
         assert margin >= 0, (name, p_ppz, p_del, p_combo)
+    elapsed = time.perf_counter() - start
     report(
         5,
         ok,
-        f"{len(instances)} instances, worst slack {worst_margin:.5f}",
+        f"{len(instances)} instances, worst slack {worst_margin:.5f}, {elapsed:.1f}s",
     )
 
 

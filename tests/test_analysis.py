@@ -209,6 +209,12 @@ class TestEstimateTau:
         b = estimate_tau(xor_chain(2), Algorithm.DELPPZ, 300, 5)
         assert a == b
 
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_rejects_clauses_wider_than_3(self, algo):
+        f = CnfFormula(4, ((1, 2, 3, 4), (-1, 2)))
+        with pytest.raises(ValueError, match="3-CNF"):
+            estimate_tau(f, algo, 100, 0)
+
 
 class TestExactOracles:
     def test_del_narrow_satisfiable(self):

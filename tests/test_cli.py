@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +60,23 @@ class TestSolve:
         code = main(["solve", unsat_file, "--omega", "3"])
         assert code == EXIT_UNKNOWN
         assert "3 trial(s)" in capsys.readouterr().out
+
+    def test_clipped_budget_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "unsat24.cnf"
+        path.write_text("p cnf 24 2\n1 0\n-1 0\n")
+        clipped = "c trial budget clipped to 3; the e^-n error bound no longer holds"
+        assert main(["solve", str(path), "--budget-cap", "3"]) == EXIT_UNKNOWN
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == clipped
+        # Only the result line states a trial count.
+        assert re.findall(r"(?:after|in) (\d+) trial\(s\)", out) == ["3"]
+        code = main(["solve", str(path), "--omega", "3", "--budget-cap", "3"])
+        assert code == EXIT_UNKNOWN
+        assert "clipped" not in capsys.readouterr().out
+
+    def test_unclipped_budget_is_not_reported(self, xor1_file, capsys):
+        assert main(["solve", xor1_file, "--seed", "0"]) == EXIT_SAT
+        assert "clipped" not in capsys.readouterr().out
 
     def test_one_sided_gate_survives_optimize(self, xor1_file):
         # Under -O the first assert is stripped; the gate must still raise

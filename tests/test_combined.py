@@ -2,6 +2,7 @@ import pytest
 
 from satlab.cnf import CnfFormula, evaluate
 from satlab.combined import (
+    DEFAULT_BUDGET_CAP,
     Algorithm,
     Exit,
     SolverOutcome,
@@ -108,6 +109,12 @@ def test_default_omega():
     assert default_omega(2) == 6  # ceil(2 * 1.5875^2)
     assert default_omega(9) == math.ceil(9 * 1.5875**9)
     assert default_omega(30, budget_cap=1000) == 1000
+
+
+def test_default_omega_past_the_float_range():
+    # 1.5875 ** 2000 overflows a float; the budget is clipped all the same.
+    assert default_omega(2000) == DEFAULT_BUDGET_CAP
+    assert default_omega(2000, budget_cap=7) == 7
 
 
 @pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
