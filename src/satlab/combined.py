@@ -138,10 +138,11 @@ def walk(
 
 
 class SolutionMasks:
-    """Exact per-trial success of the three iterations, given the solution set.
+    """Exact per-trial success of the three iterations on a 3-CNF formula,
+    given its solution set.
 
-    Bit i of every mask stands for solution i of ``solutions`` (bit v-1 of
-    a solution holds the value of variable v), and ``cons`` is the set of
+    Bit i of every mask stands for the same solution (bit v-1 of a
+    solution holds the value of variable v), and ``cons`` is the set of
     solutions that extend the values a walk has fixed so far.  A walk
     succeeds iff its final assignment, the one member of ``cons`` once every
     variable is set, is a solution.  Its deletion route succeeds at a step
@@ -155,17 +156,15 @@ class SolutionMasks:
     """
 
     def __init__(self, formula: CnfFormula, solutions):
-        if not formula.is_3cnf():
-            raise ValueError("SolutionMasks requires a 3-CNF formula")
         n = self.n = formula.num_vars
-        solutions = sorted(solutions)
+        solutions = list(solutions)  # one fixed order for every mask
         self.full = (1 << len(solutions)) - 1
         # extends[v][value]: the solutions giving v that value.  fixes[v][value]
         # is its bit in a walk's ``state``: v - 1 for True, n + v - 1 for False.
         self.extends = [(0, 0)]
         self.fixes = [(0, 0)]
         for v in range(1, n + 1):
-            true = sum(1 << i for i, s in enumerate(solutions) if s >> (v - 1) & 1)
+            true = int("0" + "".join("01"[s >> (v - 1) & 1] for s in solutions), 2)
             self.extends.append((self.full & ~true, true))
             self.fixes.append((1 << (n + v - 1), 1 << (v - 1)))
 

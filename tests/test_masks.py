@@ -2,8 +2,8 @@
 
 ``SolutionMasks.success`` must give every (seed, trial) the outcome that
 ``ppz_success``, ``del_success`` and ``delppz_success`` give it, because
-``estimate_tau`` runs its trials on the kernel whenever the 2^n scan is
-cheap enough.
+``estimate_tau`` runs its trials on the kernel up to ``KERNEL_MAX_N``
+variables.
 """
 
 import pytest
@@ -105,12 +105,14 @@ def _plain_estimate(formula, algorithm, trials, seed):
 
 
 @pytest.mark.parametrize("algorithm", list(Algorithm))
-@pytest.mark.parametrize("trials, kernel", [(100, False), (200, True)])
+@pytest.mark.parametrize(
+    "formula, kernel", [(random_3cnf(9, 34, 5), True), (random_3cnf(10, 38, 4), False)]
+)
 def test_estimate_tau_equals_plain_loop_on_both_sides_of_the_gate(
-    monkeypatch, algorithm, trials, kernel
+    monkeypatch, algorithm, formula, kernel
 ):
-    # n = 10: 2^10 > 100 * 10, but 2^10 <= 200 * 10.
-    formula = random_3cnf(10, 38, 4)
+    assert (formula.num_vars <= analysis.KERNEL_MAX_N) == kernel
+    trials = 100
     scans = []
     real_scan = analysis.enumerate_solutions
     monkeypatch.setattr(
