@@ -11,17 +11,22 @@ from .cnf import (
     Assignment,
     Clause,
     CnfFormula,
-    SubstitutionResult,
     emit_dimacs,
     evaluate,
     parse_dimacs,
-    substitute,
-    unit_clause_polarity,
 )
-from .combined import Algorithm, Exit, SolverOutcome, delppz_iteration, run, run_delppz
-from .deletion import del_iteration, delete_random_literals
+from .combined import (
+    Algorithm,
+    Exit,
+    SolverOutcome,
+    Trace,
+    delppz_iteration,
+    run,
+    run_delppz,
+)
+from .deletion import del_iteration
 from .generators import random_3cnf, xor_chain
-from .ppz import PpzTrace, ppz_iteration
+from .ppz import ppz_iteration
 from .rng import RandomSource, derive_seed
 from .twosat import solve_2sat
 
@@ -31,12 +36,10 @@ __all__ = [
     "Clause",
     "CnfFormula",
     "Exit",
-    "PpzTrace",
     "RandomSource",
     "SolverOutcome",
-    "SubstitutionResult",
+    "Trace",
     "del_iteration",
-    "delete_random_literals",
     "delppz_iteration",
     "derive_seed",
     "emit_dimacs",
@@ -47,8 +50,6 @@ __all__ = [
     "run",
     "run_delppz",
     "solve_2sat",
-    "substitute",
-    "unit_clause_polarity",
     "xor_chain",
 ]
 

@@ -16,15 +16,13 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
-from .cnf import Assignment, Clause, CnfFormula, evaluate
+from .cnf import Assignment, CnfFormula, critical_variable, evaluate
 from .combined import Algorithm, SolutionMasks, delppz_success
 from .deletion import del_success
 from .ppz import ppz_success
 from .rng import RandomSource
 
-ENUMERATION_GUARD = 24  # 2^n scan cap
+ENUMERATION_GUARD = 24  # solution enumeration cap
 # Largest n at which estimate_tau runs on SolutionMasks: that of the
 # benchmark's estimate bed, the range where the kernel has been timed.
 KERNEL_MAX_N = 9
@@ -99,14 +97,20 @@ class TauEstimate:
 def enumerate_solutions(
     formula: CnfFormula, max_n: int = ENUMERATION_GUARD
 ) -> SolutionSet:
-    """Exact solution set by exhaustive scan of all 2^n assignments."""
+    """Exact solution set by backtracking over the variables in index order.
+
+    Each clause is tested once its highest variable is set, so a branch
+    stops at its first falsified clause and the work follows the number of
+    solutions and dead ends rather than 2^n.
+    """
     n = formula.num_vars
     if n > max_n:
         raise ValueError(
             f"refusing exhaustive scan: n={n} exceeds guard {max_n}"
         )
-    all_masks = np.arange(1 << n, dtype=np.int64)
-    satisfied = np.ones(1 << n, dtype=bool)
+    # closing[v]: (positive bits, negative bits) of each clause whose
+    # highest variable is v
+    closing = [[] for _ in range(n + 1)]
     for clause in formula.clauses:
         pos = 0
         neg = 0
@@ -115,20 +119,22 @@ def enumerate_solutions(
                 pos |= 1 << (lit - 1)
             else:
                 neg |= 1 << (-lit - 1)
-        satisfied &= ((all_masks & pos) != 0) | ((~all_masks & neg) != 0)
-    masks = frozenset(int(m) for m in all_masks[satisfied])
-    return SolutionSet(n, masks)
-
-
-def critical_variable(clause: Clause, alpha: Assignment) -> int | None:
-    """Variable of the unique satisfied literal, or None if not exactly one."""
-    found = None
-    for lit in clause:
-        if alpha[abs(lit)] == (lit > 0):
-            if found is not None:
-                return None
-            found = abs(lit)
-    return found
+        closing[max(abs(lit) for lit in clause)].append((pos, neg))
+    masks = []
+    stack = [(0, 0)]  # (variables set, mask)
+    while stack:
+        v, mask = stack.pop()
+        if v == n:
+            masks.append(mask)
+            continue
+        v += 1
+        for m in (mask, mask | 1 << (v - 1)):
+            for pos, neg in closing[v]:
+                if not (m & pos or ~m & neg):
+                    break
+            else:
+                stack.append((v, m))
+    return SolutionSet(n, frozenset(masks))
 
 
 def critical_profile(

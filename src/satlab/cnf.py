@@ -57,12 +57,6 @@ class CnfFormula:
         return self.max_width() <= 2
 
 
-@dataclass(frozen=True)
-class SubstitutionResult:
-    formula: CnfFormula
-    conflict: bool
-
-
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF text into a formula.
 
@@ -169,21 +163,6 @@ def check_satisfies(formula: CnfFormula, alpha: Assignment) -> None:
         raise RuntimeError("solver produced an assignment that falsifies its input")
 
 
-def substitute(formula: CnfFormula, variable: int, value: bool) -> SubstitutionResult:
-    """Apply the assignment ``variable <- value`` to the formula.
-
-    Satisfied clauses are deleted; falsified literals are removed from the
-    remaining clauses.  A clause that becomes empty is dropped and reported
-    via the conflict flag (the branch is unsatisfiable).  ``num_vars`` is
-    unchanged so variable indices stay stable.
-    """
-    if not 1 <= variable <= formula.num_vars:
-        raise ValueError(f"variable {variable} out of range 1..{formula.num_vars}")
-    true_lit = variable if value else -variable
-    new_clauses, conflict = substitute_clauses(formula.clauses, true_lit)
-    return SubstitutionResult(CnfFormula(formula.num_vars, tuple(new_clauses)), conflict)
-
-
 def substitute_clauses(clauses, true_lit: int):
     """Substitution on a bare clause collection; returns (clauses, conflict).
 
@@ -205,14 +184,15 @@ def substitute_clauses(clauses, true_lit: int):
     return out, conflict
 
 
-def unit_clause_polarity(formula: CnfFormula, variable: int) -> bool | None:
-    """Polarity of the first unit clause over ``variable``, if any.
+def critical_variable(clause: Clause, alpha: Assignment) -> int | None:
+    """Variable of the unique satisfied literal, or None if not exactly one.
 
-    With contradictory unit clauses (x) and (-x) the earliest in clause
-    order wins; the final evaluation gate catches the resulting
-    falsification either way.
+    A clause with exactly one satisfied literal is critical for alpha.
     """
-    for clause in formula.clauses:
-        if len(clause) == 1 and abs(clause[0]) == variable:
-            return clause[0] > 0
-    return None
+    found = None
+    for lit in clause:
+        if alpha[abs(lit)] == (lit > 0):
+            if found is not None:
+                return None
+            found = abs(lit)
+    return found

@@ -18,7 +18,13 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from .cnf import Assignment, CnfFormula, check_satisfies, substitute_clauses
+from .cnf import (
+    Assignment,
+    CnfFormula,
+    check_satisfies,
+    critical_variable,
+    substitute_clauses,
+)
 from .deletion import delete_clauses
 from .rng import RandomSource
 from .twosat import solve_2sat_clauses
@@ -62,8 +68,10 @@ class Step:
 
 
 @dataclass(frozen=True)
-class DelPpzTrace:
+class Trace:
     permutation: tuple[int, ...]
+    steps: tuple[Step, ...]
+    exit: Exit
     # Critical-clause count of the current formula at the start of each
     # executed step, w.r.t. the tracked assignment; empty when untracked.
     # Counts are recorded only while every value assigned so far agrees
@@ -71,13 +79,14 @@ class DelPpzTrace:
     # measures progress toward it (and can grow).  Within the recorded
     # prefix the sequence is non-increasing.
     critical_counts: tuple[int, ...]
-    steps: tuple[Step, ...]
-    exit: Exit
+
+    def unforced_count(self) -> int:
+        return sum(1 for s in self.steps if not s.forced)
 
 
 class Recorder:
     """Observer of one walk: its permutation, its steps and, with
-    ``track_alpha``, the critical-clause counts of ``DelPpzTrace``."""
+    ``track_alpha``, the critical-clause counts of ``Trace``."""
 
     def __init__(self, track_alpha: Assignment | None = None):
         self.track_alpha = track_alpha
@@ -88,12 +97,20 @@ class Recorder:
 
     def start_step(self, clauses) -> None:
         if self.tracking:
-            self.critical_counts.append(_critical_count(clauses, self.track_alpha))
+            alpha = self.track_alpha
+            self.critical_counts.append(
+                sum(1 for c in clauses if critical_variable(c, alpha) is not None)
+            )
 
     def assign(self, variable: int, forced: bool, value: bool) -> None:
         self.steps.append(Step(variable, forced, value))
         if self.tracking and value != self.track_alpha[variable]:
             self.tracking = False
+
+    def trace(self, site: Exit) -> Trace:
+        return Trace(
+            self.permutation, tuple(self.steps), site, tuple(self.critical_counts)
+        )
 
 
 def walk(
@@ -232,7 +249,7 @@ def delppz_iteration(
     formula: CnfFormula,
     rng: RandomSource,
     track_alpha: Assignment | None = None,
-) -> tuple[SolverOutcome, DelPpzTrace]:
+) -> tuple[SolverOutcome, Trace]:
     """One combined iteration.
 
     With ``track_alpha`` given, the trace records the critical-clause count
@@ -243,9 +260,7 @@ def delppz_iteration(
         raise ValueError("delppz_iteration requires a 3-CNF formula")
     recorder = Recorder(track_alpha)
     site, alpha, values = walk(formula, rng, True, recorder)
-    trace = DelPpzTrace(
-        recorder.permutation, tuple(recorder.critical_counts), tuple(recorder.steps), site
-    )
+    trace = recorder.trace(site)
     if site is Exit.FAILED:
         return SolverOutcome(None, site), trace
     step = None
@@ -325,17 +340,3 @@ def run_delppz(
 ) -> SolverOutcome:
     """``run`` with the combined solver."""
     return run(formula, Algorithm.DELPPZ, seed, omega, budget_cap)
-
-
-def _critical_count(clauses, alpha: Assignment) -> int:
-    count = 0
-    for clause in clauses:
-        satisfied = 0
-        for lit in clause:
-            if alpha[abs(lit)] == (lit > 0):
-                satisfied += 1
-                if satisfied > 1:
-                    break
-        if satisfied == 1:
-            count += 1
-    return count

@@ -14,21 +14,12 @@ from .rng import RandomSource
 from .twosat import solve_2sat_clauses
 
 
-def delete_random_literals(formula: CnfFormula, rng: RandomSource) -> CnfFormula:
+def delete_clauses(clauses, rng: RandomSource):
     """Delete one uniformly random literal from every width-3 clause.
 
     One rng draw per width-3 clause, in clause order, so the outcome is a
-    pure function of the rng seed.
+    pure function of the rng state; narrower clauses pass through.
     """
-    if not formula.is_3cnf():
-        raise ValueError("delete_random_literals requires a 3-CNF formula")
-    return CnfFormula(
-        formula.num_vars, tuple(delete_clauses(formula.clauses, rng))
-    )
-
-
-def delete_clauses(clauses, rng: RandomSource):
-    """Bare-clause deletion pass shared with the combined solver loop."""
     out = []
     for clause in clauses:
         if len(clause) == 3:

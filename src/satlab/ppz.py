@@ -10,31 +10,20 @@ solver has one-sided error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cnf import Assignment, CnfFormula, check_satisfies
-from .combined import Exit, Recorder, Step, walk
+from .combined import Exit, Recorder, Trace, walk
 from .rng import RandomSource
-
-
-@dataclass(frozen=True)
-class PpzTrace:
-    permutation: tuple[int, ...]
-    steps: tuple[Step, ...]
-
-    def unforced_count(self) -> int:
-        return sum(1 for s in self.steps if not s.forced)
 
 
 def ppz_iteration(
     formula: CnfFormula, rng: RandomSource
-) -> tuple[Assignment | None, PpzTrace]:
+) -> tuple[Assignment | None, Trace]:
     """Run one iteration; returns (satisfying assignment or None, trace)."""
     if not formula.is_3cnf():
         raise ValueError("ppz_iteration requires a 3-CNF formula")
     recorder = Recorder()
     site, alpha, _ = walk(formula, rng, False, recorder)
-    trace = PpzTrace(recorder.permutation, tuple(recorder.steps))
+    trace = recorder.trace(site)
     if site is Exit.FAILED:
         return None, trace
     check_satisfies(formula, alpha)

@@ -24,6 +24,7 @@ from satlab.cnf import CnfFormula
 from satlab.generators import random_3cnf, xor_chain
 
 from conftest import binomial_sigma, brute_force_solutions, mask_to_dict
+from test_cnf import clause_strategy
 
 
 class TestEnumerateSolutions:
@@ -41,10 +42,16 @@ class TestEnumerateSolutions:
         with pytest.raises(ValueError, match="guard"):
             enumerate_solutions(CnfFormula(30, ()), max_n=24)
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=0, max_value=10**6))
-    def test_matches_independent_brute_force(self, seed):
-        f = random_3cnf(6, 14, seed)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=10), st.data())
+    def test_matches_independent_brute_force(self, n, data):
+        # clauses of width 1-3 over variables 1..used; the variables past
+        # used occur in no clause
+        used = data.draw(st.integers(min_value=0, max_value=n))
+        clauses = ()
+        if used:
+            clauses = data.draw(st.lists(clause_strategy(used), max_size=4 * used))
+        f = CnfFormula(n, tuple(clauses))
         assert enumerate_solutions(f).masks == frozenset(brute_force_solutions(f))
 
     def test_mask_round_trip(self):

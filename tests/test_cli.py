@@ -14,6 +14,16 @@ from satlab.cnf import evaluate, parse_dimacs
 from satlab.generators import xor_chain
 
 
+def run_python(args):
+    """A fresh interpreter that imports this checkout's satlab."""
+    src = str(Path(satlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 @pytest.fixture
 def xor1_file(tmp_path):
     path = tmp_path / "xor1.cnf"
@@ -92,15 +102,14 @@ class TestSolve:
             "    sys.exit(main(['solve', sys.argv[1], '--seed', '0']))\n"
             "sys.exit('falsifying assignment passed the gate')\n"
         )
-        src = str(Path(satlab.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script, xor1_file],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = run_python(["-O", "-c", script, xor1_file])
         assert proc.returncode == EXIT_SAT, proc.stderr
         assert "s SATISFIABLE" in proc.stdout
+
+    def test_cli_start_up_imports_no_numpy(self):
+        script = "import satlab.cli, sys; sys.exit('numpy' in sys.modules)"
+        proc = run_python(["-c", script])
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestAnalyze:

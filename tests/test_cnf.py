@@ -10,8 +10,7 @@ from satlab.cnf import (
     emit_dimacs,
     evaluate,
     parse_dimacs,
-    substitute,
-    unit_clause_polarity,
+    substitute_clauses,
 )
 from satlab.generators import xor_chain
 
@@ -129,45 +128,40 @@ class TestEvaluate:
 
 class TestSubstitute:
     def test_satisfied_removed_and_shrink(self):
-        f = CnfFormula(3, ((1, 2), (-1, 3)))
-        res = substitute(f, 1, True)
-        assert res.formula.clauses == ((3,),)
-        assert not res.conflict
-        assert res.formula.num_vars == 3
+        clauses, conflict = substitute_clauses(((1, 2), (-1, 3)), 1)
+        assert clauses == [(3,)]
+        assert not conflict
 
     def test_empty_clause_conflict(self):
-        res = substitute(CnfFormula(1, ((1,),)), 1, False)
-        assert res.conflict
-        assert res.formula.clauses == ()
+        clauses, conflict = substitute_clauses(((1,),), -1)
+        assert conflict
+        assert clauses == []
 
     def test_xor_chain_substitution(self):
-        res = substitute(xor_chain(1), 1, True)
+        clauses, conflict = substitute_clauses(xor_chain(1).clauses, 1)
         # x1 true reduces the odd-parity triple to x2 == x3
-        assert set(res.formula.clauses) == {(2, -3), (-2, 3)}
-        assert not res.conflict
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            substitute(CnfFormula(2, ()), 3, True)
+        assert set(clauses) == {(2, -3), (-2, 3)}
+        assert not conflict
 
     @settings(max_examples=200)
     @given(formula_strategy(), st.data())
     def test_soundness_against_brute_force(self, f, data):
         variable = data.draw(st.integers(min_value=1, max_value=f.num_vars))
         value = data.draw(st.booleans())
-        res = substitute(f, variable, value)
+        lit = variable if value else -variable
+        clauses, conflict = substitute_clauses(f.clauses, lit)
         before = brute_force_solutions(f)
         expected = {
             m for m in before if bool((m >> (variable - 1)) & 1) == value
         }
-        if res.conflict:
+        if conflict:
             # this branch has no solutions of the original formula
             assert not expected
         else:
             # the residual never mentions the substituted variable, so its
             # solution set restricted to the branch value is exactly the
             # original branch solutions
-            after = brute_force_solutions(res.formula)
+            after = brute_force_solutions(CnfFormula(f.num_vars, tuple(clauses)))
             bit = 1 << (variable - 1)
             restricted = {m for m in after if bool(m & bit) == value}
             assert restricted == expected
@@ -176,26 +170,10 @@ class TestSubstitute:
     @given(formula_strategy(), st.data())
     def test_widths_and_counts_never_grow(self, f, data):
         variable = data.draw(st.integers(min_value=1, max_value=f.num_vars))
-        value = data.draw(st.booleans())
-        res = substitute(f, variable, value)
-        assert res.formula.num_clauses <= f.num_clauses
-        assert res.formula.max_width() <= max(f.max_width(), 1)
-
-
-class TestUnitClausePolarity:
-    def test_negative_unit(self):
-        f = CnfFormula(2, ((1, 2), (-2,)))
-        assert unit_clause_polarity(f, 2) is False
-
-    def test_absent(self):
-        f = CnfFormula(2, ((1, 2),))
-        assert unit_clause_polarity(f, 1) is None
-
-    def test_contradictory_units_first_wins(self):
-        f = CnfFormula(1, ((1,), (-1,)))
-        assert unit_clause_polarity(f, 1) is True
-        g = CnfFormula(1, ((-1,), (1,)))
-        assert unit_clause_polarity(g, 1) is False
+        lit = data.draw(st.sampled_from((variable, -variable)))
+        clauses, _ = substitute_clauses(f.clauses, lit)
+        assert len(clauses) <= f.num_clauses
+        assert max(map(len, clauses), default=0) <= max(f.max_width(), 1)
 
 
 class TestCnfFormulaValidation:

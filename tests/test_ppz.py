@@ -17,6 +17,26 @@ def test_single_unit_clause_forced():
         assert trace.steps[0].forced
 
 
+@pytest.mark.parametrize(
+    "formula, forced_value",
+    [
+        (CnfFormula(1, ((1,), (-1,))), True),
+        (CnfFormula(1, ((-1,), (1,))), False),
+        (CnfFormula(2, ((1, 2),)), None),
+    ],
+    ids=["first_unit_true", "first_unit_false", "no_unit"],
+)
+def test_first_step_set_by_first_unit_clause(formula, forced_value):
+    # of the contradictory units (x) and (-x), the one earlier in clause
+    # order sets x; with no unit clause the first step is a coin
+    for seed in range(20):
+        step = ppz_iteration(formula, RandomSource(seed))[1].steps[0]
+        if forced_value is None:
+            assert not step.forced
+        else:
+            assert step.forced and step.value is forced_value
+
+
 def test_unsat_always_absent():
     f = CnfFormula(1, ((1,), (-1,)))
     for seed in range(200):
