@@ -3,7 +3,7 @@
 
 For each instance the script estimates the success probability of the
 permutation solver, the deletion solver, and the combined solver, and
-prints exact oracle values where the enumeration guards permit.
+prints exact oracle values where their guards permit.
 
 Example:
     python scripts/compare_algorithms.py --trials 50000 --seed 7
@@ -58,7 +58,7 @@ def main(argv=None):
         row.append(oracle_or_blank(exact_del_success, formula))
         print(f"{row[0]:<14} {row[1]:>8} {row[2]:>8} {row[3]:>8} "
               f"{row[4]:>8} {row[5]:>8}")
-    print("\n(* exact enumeration oracle; '-' where the guard refuses)")
+    print("\n(* exact oracle; '-' where its guard refuses)")
     return 0
 
 

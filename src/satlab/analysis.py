@@ -1,4 +1,4 @@
-"""Brute-force oracles, critical-clause profiling, closed-form success
+"""Exact oracles by counting, critical-clause profiling, closed-form success
 bounds, and Monte Carlo estimation of per-iteration success probability.
 
 A clause is *critical* w.r.t. a solution when exactly one of its literals
@@ -14,9 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
-from .cnf import Assignment, CnfFormula, critical_variable, evaluate
+from .cnf import Assignment, CnfFormula, critical_variable
 from .combined import Algorithm, SolutionMasks, delppz_success
 from .deletion import del_success
 from .ppz import ppz_success
@@ -27,7 +27,9 @@ ENUMERATION_GUARD = 24  # solution enumeration cap
 # benchmark's estimate bed, the range where the kernel has been timed.
 KERNEL_MAX_N = 9
 DEL_PATTERN_GUARD = 10  # 3^w deletion-pattern cap
-PPZ_PERMUTATION_GUARD = 6  # n! permutation cap
+# The ppz count visits at most 3^n residual states; n <= 6 is kept so that
+# every caller gets the same values and refusals as before.
+PPZ_PERMUTATION_GUARD = 6
 
 LOG2_3_2 = math.log2(1.5)
 # t_av value where the deletion-route term of the combined bound meets the
@@ -192,10 +194,11 @@ def delppz_bound(n: int, s: int, t_av: float) -> float:
     return min(1.0, raw)
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95):
+def wilson_interval(successes: int, trials: int):
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = _Z95
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -243,9 +246,7 @@ def estimate_tau(
     return TauEstimate(successes, trials, point, min(low, point), max(high, point))
 
 
-def exact_del_success(
-    formula: CnfFormula, max_patterns_exponent: int = DEL_PATTERN_GUARD
-) -> float:
+def exact_del_success(formula: CnfFormula) -> float:
     """Exact deletion-solver success by enumerating all deletion patterns.
 
     Every width-3 clause contributes 3 equiprobable choices; the success
@@ -255,10 +256,10 @@ def exact_del_success(
     if not formula.is_3cnf():
         raise ValueError("exact_del_success requires a 3-CNF formula")
     wide = [i for i, c in enumerate(formula.clauses) if len(c) == 3]
-    if len(wide) > max_patterns_exponent:
+    if len(wide) > DEL_PATTERN_GUARD:
         raise ValueError(
             f"refusing pattern enumeration: {len(wide)} width-3 clauses "
-            f"exceed guard {max_patterns_exponent}"
+            f"exceed guard {DEL_PATTERN_GUARD}"
         )
     from .twosat import solve_2sat_clauses
 
@@ -275,46 +276,40 @@ def exact_del_success(
     return good / total
 
 
-def exact_ppz_success(
-    formula: CnfFormula, max_n: int = PPZ_PERMUTATION_GUARD
-) -> float:
-    """Exact permutation-solver success over all n! permutations and coins.
+def exact_ppz_success(formula: CnfFormula) -> float:
+    """Exact permutation-solver success, counted over the walk's states.
 
-    For each permutation the deterministic state evolution branches only
-    at unforced steps (weight 1/2 per side); forced steps carry weight 1.
+    ``good(clauses, unset)`` is the number of (order, coin vector) pairs
+    over the unset variables whose walk ends with no conflict.  The next
+    variable is forced by its first unit clause, where both coins take the
+    one branch, or else each coin takes its own.  A walk that sets every
+    variable with no conflict has satisfied every clause, so the success
+    is good / (n! * 2^n).
     """
     if not formula.is_3cnf():
         raise ValueError("exact_ppz_success requires a 3-CNF formula")
     n = formula.num_vars
-    if n > max_n:
-        raise ValueError(f"refusing permutation enumeration: n={n} > {max_n}")
+    if n > PPZ_PERMUTATION_GUARD:
+        raise ValueError(
+            f"refusing permutation enumeration: n={n} > {PPZ_PERMUTATION_GUARD}"
+        )
     from .cnf import substitute_clauses
 
-    total = 0.0
-    count = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        count += 1
-        # stack of (step index, clauses, alpha-so-far, path weight)
-        stack = [(0, list(formula.clauses), {}, 1.0)]
-        while stack:
-            i, clauses, alpha, weight = stack.pop()
-            if i == n:
-                if evaluate(formula, alpha):
-                    total += weight
-                continue
-            v = perm[i]
-            polarity = None
-            for clause in clauses:
-                if len(clause) == 1 and abs(clause[0]) == v:
-                    polarity = clause[0] > 0
-                    break
-            if polarity is None:
-                branches = ((False, weight / 2.0), (True, weight / 2.0))
-            else:
-                branches = ((polarity, weight),)
-            for value, w in branches:
-                next_clauses, conflict = substitute_clauses(clauses, v if value else -v)
-                # A conflicted branch adds 0 to the total, so it is not pushed.
+    @cache
+    def good(clauses: tuple, unset: frozenset) -> int:
+        if not unset:
+            return 1
+        count = 0
+        for v in unset:
+            forced = next(
+                (c[0] for c in clauses if len(c) == 1 and abs(c[0]) == v), None
+            )
+            branches = ((-v, 1), (v, 1)) if forced is None else ((forced, 2),)
+            for lit, coins in branches:
+                rest, conflict = substitute_clauses(clauses, lit)
                 if not conflict:
-                    stack.append((i + 1, next_clauses, {**alpha, v: value}, w))
-    return total / count
+                    count += coins * good(tuple(rest), unset - {v})
+        return count
+
+    runs = math.factorial(n) * 2**n
+    return good(tuple(formula.clauses), frozenset(range(1, n + 1))) / runs

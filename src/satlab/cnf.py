@@ -53,9 +53,6 @@ class CnfFormula:
     def is_3cnf(self) -> bool:
         return self.max_width() <= 3
 
-    def is_2cnf(self) -> bool:
-        return self.max_width() <= 2
-
 
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF text into a formula.

