@@ -3,7 +3,7 @@
 Implements three randomized satisfiability procedures over a shared CNF
 core -- a permutation/unit-forcing solver, a literal-deletion + 2-SAT
 solver, and their per-variable combination -- together with exact
-brute-force oracles, critical-clause profiling, closed-form success
+oracles by counting, critical-clause profiling, closed-form success
 bounds, and seeded Monte Carlo estimation.
 """
 

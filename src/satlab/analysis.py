@@ -255,7 +255,7 @@ def exact_del_success(formula: CnfFormula) -> float:
     """
     if not formula.is_3cnf():
         raise ValueError("exact_del_success requires a 3-CNF formula")
-    wide = [i for i, c in enumerate(formula.clauses) if len(c) == 3]
+    wide = [c for c in formula.clauses if len(c) == 3]
     if len(wide) > DEL_PATTERN_GUARD:
         raise ValueError(
             f"refusing pattern enumeration: {len(wide)} width-3 clauses "
@@ -263,17 +263,14 @@ def exact_del_success(formula: CnfFormula) -> float:
         )
     from .twosat import solve_2sat_clauses
 
-    base = list(formula.clauses)
+    narrow = [c for c in formula.clauses if len(c) < 3]
+    # each width-3 clause with literal 0, 1 or 2 deleted
+    choices = [((b, c), (a, c), (a, b)) for a, b, c in wide]
     good = 0
-    total = 3 ** len(wide)
-    for pattern in itertools.product((0, 1, 2), repeat=len(wide)):
-        narrowed = list(base)
-        for idx, drop in zip(wide, pattern):
-            a, b, c = base[idx]
-            narrowed[idx] = (b, c) if drop == 0 else ((a, c) if drop == 1 else (a, b))
-        if solve_2sat_clauses(narrowed, formula.num_vars) is not None:
+    for pattern in itertools.product(*choices):
+        if solve_2sat_clauses(narrow + list(pattern), formula.num_vars) is not None:
             good += 1
-    return good / total
+    return good / 3 ** len(wide)
 
 
 def exact_ppz_success(formula: CnfFormula) -> float:

@@ -9,10 +9,11 @@ unsatisfiability).  Input errors exit with code 1.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import analysis
-from .cnf import CnfFormula, check_satisfies, emit_dimacs, parse_dimacs
+from .cnf import CnfFormula, emit_dimacs, parse_dimacs
 from .combined import (
     DEFAULT_BUDGET_CAP,
     Algorithm,
@@ -28,7 +29,7 @@ EXIT_UNKNOWN = 20
 EXIT_ERROR = 1
 
 ALGORITHMS = [a.value for a in Algorithm]
-EXIT_SITES = {Exit.DEL: "2-SAT", Exit.PPZ: "assembled assignment"}
+VIA = {Exit.DEL: " via 2-SAT", Exit.PPZ: " via assembled assignment"}
 
 
 def main(argv=None) -> int:
@@ -113,14 +114,11 @@ def cmd_solve(args) -> int:
         )
         code = EXIT_UNKNOWN
     else:
-        via = ""
-        if algorithm is Algorithm.DELPPZ:
-            via = f" via {EXIT_SITES[outcome.exit]}"
+        via = VIA[outcome.exit] if algorithm is Algorithm.DELPPZ else ""
         print(f"c satisfied{via} after {trials} trial(s)")
-        check_satisfies(formula, alpha)
         print("s SATISFIABLE")
-        lits = " ".join(str(v if alpha[v] else -v) for v in range(1, n + 1))
-        print(f"v {lits} 0")
+        lits = [str(v if alpha[v] else -v) for v in range(1, n + 1)]
+        print(" ".join(["v", *lits, "0"]))
         code = EXIT_SAT
     if args.omega is None and worst_case_omega(n) > args.budget_cap:
         print(
@@ -173,14 +171,10 @@ def cmd_estimate(args) -> int:
     formula = _load_3cnf(args.file)
     algorithm = Algorithm(args.algorithm)
     est = analysis.estimate_tau(formula, algorithm, args.trials, args.seed)
-    oracle = _oracle_value(formula, algorithm)
-    bound = _bound_value(formula, algorithm)
+    row = (est.point, est.ci_low, est.ci_high)
+    row += (_oracle_value(formula, algorithm), _bound_value(formula, algorithm))
     print("point,ci_low,ci_high,oracle,bound")
-    oracle_s = "" if oracle is None else f"{oracle:.6g}"
-    bound_s = "" if bound is None else f"{bound:.6g}"
-    print(
-        f"{est.point:.6g},{est.ci_low:.6g},{est.ci_high:.6g},{oracle_s},{bound_s}"
-    )
+    print(",".join("" if x is None else f"{x:.6g}" for x in row))
     return 0
 
 
@@ -229,20 +223,28 @@ def cmd_bounds(args) -> int:
     n, s = args.n, args.s
     if n < 1 or s < 1:
         raise ValueError("n and s must be >= 1")
-    import math
-
     print("t_av,ppz_bound,del_bound,delppz_bound")
     ppz = analysis.ppz_bound(n)
     for k in range(args.steps + 1):
         t_av = lo + (hi - lo) * k / args.steps
-        del_b = analysis.del_bound(t_av * n)  # c = t_av * n in the s=1, l=0 regime
-        combined = analysis.delppz_bound(n, s, t_av)
         if args.log:
-            row = (math.log10(ppz), math.log10(del_b), math.log10(combined))
+            row = _log10_bounds(n, s, t_av)
         else:
-            row = (ppz, del_b, combined)
+            del_b = analysis.del_bound(t_av * n)  # c = t_av * n in the s=1, l=0 regime
+            row = (ppz, del_b, analysis.delppz_bound(n, s, t_av))
         print(f"{t_av:.6f}," + ",".join(f"{x:.12g}" for x in row))
     return 0
+
+
+def _log10_bounds(n: int, s: int, t_av: float) -> tuple[float, float, float]:
+    """log10 of the three bounds, computed in the log domain: the bounds
+    themselves underflow to 0 from n = 1,613 on."""
+    log_ppz = -2.0 * n / 3.0 * math.log10(2.0)
+    log_del = t_av * n * math.log10(2.0 / 3.0)
+    # delppz_bound's two terms, s (2/3)^(t_av n) and s^(2/3) 2^(-2n/3)
+    a, b = math.log10(s) + log_del, 2.0 / 3.0 * math.log10(s) + log_ppz
+    log_sum = max(a, b) + math.log10(1.0 + 10.0 ** -abs(a - b))
+    return log_ppz, log_del, min(0.0, log_sum)  # clamped at 1, as delppz_bound
 
 
 def cmd_generate(args) -> int:

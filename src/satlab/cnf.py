@@ -47,11 +47,8 @@ class CnfFormula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def max_width(self) -> int:
-        return max((len(c) for c in self.clauses), default=0)
-
     def is_3cnf(self) -> bool:
-        return self.max_width() <= 3
+        return all(len(c) <= 3 for c in self.clauses)
 
 
 def parse_dimacs(text: str) -> CnfFormula:

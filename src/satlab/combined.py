@@ -1,5 +1,5 @@
-"""The permutation walk shared by the ppz and combined solvers, and the
-repeated-trial driver for all three algorithms.
+"""The one iteration of all three solvers, the permutation walk behind it,
+and the repeated-trial driver.
 
 One walk draws a uniform permutation of the variables and visits them in
 turn.  With the deletion route on (the combined solver), each step first
@@ -8,8 +8,9 @@ deletion; if the narrowed 2-CNF is satisfiable the iteration exits there.
 Otherwise the step's variable is set by the first unit clause over it,
 else by a fair coin, and the formula is restricted.  The walk stops at the
 first conflict: a falsified clause leaves neither route a way to succeed.
-With the route off the walk is the ppz iteration.  Every assignment an
-iteration returns is re-verified against the original input.
+With the route off the walk is the ppz iteration; del is the route alone,
+once on the input.  ``iteration`` runs any of the three and re-verifies
+every assignment it returns against the input; ``run`` repeats it.
 """
 
 from __future__ import annotations
@@ -245,30 +246,50 @@ class SolutionMasks:
         return cons != 0
 
 
+def iteration(
+    formula: CnfFormula,
+    algorithm: Algorithm,
+    rng: RandomSource,
+    recorder: Recorder | None = None,
+) -> SolverOutcome:
+    """One trial of ``algorithm`` on a formula the caller has checked is 3-CNF.
+
+    ``recorder`` observes the walk of ppz and delppz.  Any assignment
+    returned has passed ``check_satisfies``."""
+    n = formula.num_vars
+    if algorithm is Algorithm.DEL:
+        values = solve_2sat_clauses(delete_clauses(formula.clauses, rng), n)
+        site, fixed = Exit.FAILED if values is None else Exit.DEL, {}
+    else:
+        route = algorithm is Algorithm.DELPPZ
+        site, fixed, values = walk(formula, rng, route, recorder)
+    if site is Exit.FAILED:
+        return SolverOutcome(None, site)
+    alpha, step = fixed, None
+    if values is not None:  # the 2-SAT values, under those the walk fixed
+        alpha = {**{u: values[u] for u in range(1, n + 1)}, **fixed}
+        if algorithm is Algorithm.DELPPZ:
+            step = len(fixed) + 1
+    check_satisfies(formula, alpha)
+    return SolverOutcome(alpha, site, exit_step=step)
+
+
 def delppz_iteration(
     formula: CnfFormula,
     rng: RandomSource,
     track_alpha: Assignment | None = None,
 ) -> tuple[SolverOutcome, Trace]:
-    """One combined iteration.
+    """One combined iteration and its trace.
 
     With ``track_alpha`` given, the trace records the critical-clause count
     of the evolving formula w.r.t. that assignment at the start of every
-    executed step; the hot path carries no such overhead when untracked.
+    executed step.  Every call builds the trace; ``run`` builds none.
     """
     if not formula.is_3cnf():
         raise ValueError("delppz_iteration requires a 3-CNF formula")
     recorder = Recorder(track_alpha)
-    site, alpha, values = walk(formula, rng, True, recorder)
-    trace = recorder.trace(site)
-    if site is Exit.FAILED:
-        return SolverOutcome(None, site), trace
-    step = None
-    if site is Exit.DEL:
-        step = len(alpha) + 1
-        alpha = {**{u: values[u] for u in range(1, formula.num_vars + 1)}, **alpha}
-    check_satisfies(formula, alpha)
-    return SolverOutcome(alpha, site, exit_step=step), trace
+    outcome = iteration(formula, Algorithm.DELPPZ, rng, recorder)
+    return outcome, recorder.trace(outcome.exit)
 
 
 def delppz_success(formula: CnfFormula, rng: RandomSource) -> bool:
@@ -308,26 +329,16 @@ def run(
     A FAILED outcome after the full budget is *not* an unsatisfiability
     proof; it carries the trial count so callers can report it.
     """
-    from .deletion import del_iteration
-    from .ppz import ppz_iteration
-
+    if not formula.is_3cnf():
+        raise ValueError("run requires a 3-CNF formula")
     if omega is None:
         omega = default_omega(formula.num_vars, budget_cap)
     omega = min(omega, budget_cap)
     if omega < 1:
         raise ValueError("omega must be >= 1")
     for trial in range(omega):
-        rng = RandomSource.for_trial(seed, trial)
-        if algorithm is Algorithm.DELPPZ:
-            outcome, _ = delppz_iteration(formula, rng)
-        else:
-            if algorithm is Algorithm.PPZ:
-                alpha, site = ppz_iteration(formula, rng)[0], Exit.PPZ
-            else:
-                alpha, site = del_iteration(formula, rng), Exit.DEL
-            outcome = SolverOutcome(alpha, Exit.FAILED if alpha is None else site)
+        outcome = iteration(formula, algorithm, RandomSource.for_trial(seed, trial))
         if outcome.exit is not Exit.FAILED:
-            check_satisfies(formula, outcome.assignment)
             return replace(outcome, trials=trial + 1)
     return SolverOutcome(None, Exit.FAILED, trials=omega)
 

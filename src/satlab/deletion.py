@@ -4,12 +4,12 @@ Each width-3 clause loses one uniformly chosen literal (narrower clauses
 pass through untouched), leaving a 2-CNF that is handed to the exact
 2-SAT procedure.  Every clause of the narrowed formula is a sub-clause of
 the input, so any assignment satisfying the narrowed formula satisfies
-the input; the solver therefore has one-sided error.
+the input; ``combined.iteration`` checks it anyway before returning it.
 """
 
 from __future__ import annotations
 
-from .cnf import Assignment, CnfFormula, check_satisfies
+from .cnf import Assignment, CnfFormula
 from .rng import RandomSource
 from .twosat import solve_2sat_clauses
 
@@ -36,15 +36,11 @@ def delete_clauses(clauses, rng: RandomSource):
 
 def del_iteration(formula: CnfFormula, rng: RandomSource) -> Assignment | None:
     """One DEL iteration: narrow to 2-CNF, solve exactly, extend with False."""
+    from .combined import Algorithm, iteration  # combined imports this module
+
     if not formula.is_3cnf():
         raise ValueError("del_iteration requires a 3-CNF formula")
-    narrowed = delete_clauses(formula.clauses, rng)
-    values = solve_2sat_clauses(narrowed, formula.num_vars)
-    if values is None:
-        return None
-    alpha = {v: values[v] for v in range(1, formula.num_vars + 1)}
-    check_satisfies(formula, alpha)
-    return alpha
+    return iteration(formula, Algorithm.DEL, rng).assignment
 
 
 def del_success(formula: CnfFormula, rng: RandomSource) -> bool:

@@ -3,15 +3,15 @@
 One iteration draws a uniform permutation of the variables; each variable
 in turn is forced by a pending unit clause when one exists, otherwise set
 by a fair coin, and the formula is restricted accordingly.  This is the
-walk of ``combined.walk`` with the deletion route off.  The assembled
-assignment is returned only if it satisfies the original formula, so the
-solver has one-sided error.
+walk of ``combined.walk`` with the deletion route off, run by
+``combined.iteration``, which returns the assembled assignment only if it
+satisfies the original formula, so the solver has one-sided error.
 """
 
 from __future__ import annotations
 
-from .cnf import Assignment, CnfFormula, check_satisfies
-from .combined import Exit, Recorder, Trace, walk
+from .cnf import Assignment, CnfFormula
+from .combined import Algorithm, Exit, Recorder, Trace, iteration, walk
 from .rng import RandomSource
 
 
@@ -22,12 +22,8 @@ def ppz_iteration(
     if not formula.is_3cnf():
         raise ValueError("ppz_iteration requires a 3-CNF formula")
     recorder = Recorder()
-    site, alpha, _ = walk(formula, rng, False, recorder)
-    trace = recorder.trace(site)
-    if site is Exit.FAILED:
-        return None, trace
-    check_satisfies(formula, alpha)
-    return alpha, trace
+    outcome = iteration(formula, Algorithm.PPZ, rng, recorder)
+    return outcome.assignment, recorder.trace(outcome.exit)
 
 
 def ppz_success(formula: CnfFormula, rng: RandomSource) -> bool:

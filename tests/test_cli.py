@@ -63,6 +63,13 @@ class TestSolve:
         assert "s UNKNOWN" in out
         assert "not an unsatisfiability proof" in out
 
+    @pytest.mark.parametrize("algorithm", ["ppz", "del", "delppz"])
+    def test_zero_variable_formula(self, tmp_path, capsys, algorithm):
+        path = tmp_path / "empty.cnf"
+        path.write_text("p cnf 0 0\n")
+        assert main(["solve", str(path), "--algorithm", algorithm]) == EXIT_SAT
+        assert capsys.readouterr().out.splitlines()[-1] == "v 0"
+
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/file.cnf"]) == EXIT_ERROR
 
@@ -209,6 +216,30 @@ class TestBounds:
         lines = capsys.readouterr().out.strip().splitlines()[1:]
         for line in lines:
             assert all(float(x) < 0 for x in line.split(",")[1:])
+
+    def test_log_scale_is_finite_past_float_underflow(self, capsys):
+        # the linear bounds underflow to 0 from n = 1,613 on
+        assert main(["bounds", "--n", "2000", "--steps", "4", "--log"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(lines) == 5
+        for line in lines:
+            assert all(math.isfinite(float(x)) for x in line.split(","))
+
+    @pytest.mark.parametrize("n, s", [(30, 1), (30, 1000), (2, 4)])
+    def test_log_rows_are_log10_of_linear_rows(self, capsys, n, s):
+        # (2, 4) exercises the clamp: delppz_bound reads 1 there
+        args = ["bounds", "--n", str(n), "--s", str(s), "--steps", "6"]
+        main(args)
+        linear = capsys.readouterr().out.strip().splitlines()[1:]
+        main(args + ["--log"])
+        log = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(log) == len(linear) == 7
+        for lin_row, log_row in zip(linear, log):
+            lin = [float(x) for x in lin_row.split(",")]
+            got = [float(x) for x in log_row.split(",")]
+            assert got[0] == lin[0]
+            for x, y in zip(lin[1:], got[1:]):
+                assert abs(math.log10(x) - y) <= 1e-9
 
     def test_range_refusal(self):
         assert main(["bounds", "--n", "10", "--t-av-max", "2.0"]) == EXIT_ERROR

@@ -173,7 +173,7 @@ class TestSubstitute:
         lit = data.draw(st.sampled_from((variable, -variable)))
         clauses, _ = substitute_clauses(f.clauses, lit)
         assert len(clauses) <= f.num_clauses
-        assert max(map(len, clauses), default=0) <= max(f.max_width(), 1)
+        assert max(map(len, clauses), default=0) <= max(map(len, f.clauses), default=1)
 
 
 class TestCnfFormulaValidation:

@@ -1,5 +1,6 @@
 import pytest
 
+from satlab import combined
 from satlab.cnf import CnfFormula, evaluate
 from satlab.combined import (
     DEFAULT_BUDGET_CAP,
@@ -12,7 +13,9 @@ from satlab.combined import (
     run,
     run_delppz,
 )
+from satlab.deletion import del_iteration
 from satlab.generators import random_3cnf, xor_chain
+from satlab.ppz import ppz_iteration
 from satlab.rng import RandomSource
 
 from conftest import brute_force_solutions, mask_to_dict
@@ -138,6 +141,43 @@ def test_run_unsat_returns_failed(algorithm):
 def test_run_rejects_zero_omega(algorithm):
     with pytest.raises(ValueError):
         run(CnfFormula(1, ((1,),)), algorithm, seed=0, omega=0)
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+def test_run_refuses_a_wide_formula_before_its_first_trial(monkeypatch, algorithm):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("run started a trial")
+
+    monkeypatch.setattr(combined, "iteration", no_trial)
+    with pytest.raises(ValueError, match="run requires a 3-CNF formula"):
+        run(CnfFormula(4, ((1, 2, 3, 4),)), algorithm, seed=0, omega=5)
+
+
+# The broken routines below set every variable False, which falsifies this.
+FALSIFIED = CnfFormula(3, ((1, 2, 3),))
+
+ITERATIONS = {
+    Algorithm.PPZ: ppz_iteration,
+    Algorithm.DEL: del_iteration,
+    Algorithm.DELPPZ: delppz_iteration,
+}
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+def test_every_returned_assignment_is_checked(monkeypatch, algorithm):
+    # The walk is broken for ppz; 2-SAT for del and for delppz's route,
+    # which then exits at step 1.  Each path must reach check_satisfies.
+    if algorithm is Algorithm.PPZ:
+        fixed = dict.fromkeys((1, 2, 3), False)
+        monkeypatch.setattr(combined, "walk", lambda *args: (Exit.PPZ, fixed, None))
+    else:
+        monkeypatch.setattr(
+            combined, "solve_2sat_clauses", lambda clauses, n: [False] * (n + 1)
+        )
+    with pytest.raises(RuntimeError, match="falsifies its input"):
+        run(FALSIFIED, algorithm, seed=0, omega=1)
+    with pytest.raises(RuntimeError, match="falsifies its input"):
+        ITERATIONS[algorithm](FALSIFIED, RandomSource(0))
 
 
 def test_run_delppz_small_satisfiable():

@@ -1,8 +1,9 @@
 """Golden per-trial outcomes of every solver entry point and of ``run``.
 
 The literals below were recorded before the permutation walk and the trial
-drivers were merged, so they hold any later refactor to bit-identical
-outcomes for the same (seed, trial).
+drivers were merged (``RUNS``' exit steps and assignments before the three
+iterations were merged into ``combined.iteration``), so they hold any later
+refactor to bit-identical outcomes for the same (seed, trial).
 """
 
 import pytest
@@ -67,25 +68,64 @@ DELPPZ_EXITS = {
     "unsat": "F" * TRIALS,
 }
 
-# run(formula, algorithm, seed) for seeds 0..4 as (trials, exit); the
-# unsatisfiable instance runs with omega = 10.
+# run(formula, algorithm, seed) for seeds 0..4 as (trials, exit, exit_step,
+# assignment), the assignment as the values of variables 1..n in bits (or
+# None); the unsatisfiable instance runs with omega = 10.
 RUNS = {
     "xor2": {
-        "ppz": [(1, "ppz"), (1, "ppz"), (1, "ppz"), (1, "ppz"), (1, "ppz")],
-        "del": [(1, "del"), (1, "del"), (1, "del"), (4, "del"), (1, "del")],
-        "delppz": [(1, "del"), (1, "del"), (1, "del"), (1, "del"), (1, "del")],
+        "ppz": [
+            (1, "ppz", None, "100010"), (1, "ppz", None, "010010"),
+            (1, "ppz", None, "100100"), (1, "ppz", None, "111111"),
+            (1, "ppz", None, "001010"),
+        ],
+        "del": [
+            (1, "del", None, "001100"), (1, "del", None, "100111"),
+            (1, "del", None, "111100"), (4, "del", None, "111111"),
+            (1, "del", None, "010100"),
+        ],
+        "delppz": [
+            (1, "del", 1, "010001"), (1, "del", 1, "100100"),
+            (1, "del", 1, "100010"), (1, "del", 1, "100010"),
+            (1, "del", 2, "001010"),
+        ],
     },
     "r7": {
-        "ppz": [(2, "ppz"), (4, "ppz"), (1, "ppz"), (5, "ppz"), (2, "ppz")],
-        "del": [(3, "del"), (1, "del"), (1, "del"), (2, "del"), (5, "del")],
-        "delppz": [(4, "del"), (3, "del"), (1, "del"), (1, "del"), (1, "del")],
+        "ppz": [
+            (2, "ppz", None, "1111011"), (4, "ppz", None, "1001000"),
+            (1, "ppz", None, "1101000"), (5, "ppz", None, "0111011"),
+            (2, "ppz", None, "1101000"),
+        ],
+        "del": [
+            (3, "del", None, "1111011"), (1, "del", None, "1111010"),
+            (1, "del", None, "1001000"), (2, "del", None, "1111011"),
+            (5, "del", None, "1111010"),
+        ],
+        "delppz": [
+            (4, "del", 4, "1001000"), (3, "del", 3, "1111011"),
+            (1, "del", 2, "1111011"), (1, "del", 2, "1111011"),
+            (1, "del", 2, "1111010"),
+        ],
     },
     "r8": {
-        "ppz": [(4, "ppz"), (10, "ppz"), (1, "ppz"), (7, "ppz"), (5, "ppz")],
-        "del": [(1, "del"), (6, "del"), (3, "del"), (3, "del"), (2, "del")],
-        "delppz": [(3, "del"), (1, "del"), (2, "del"), (2, "del"), (1, "del")],
+        "ppz": [
+            (4, "ppz", None, "01001110"), (10, "ppz", None, "01011110"),
+            (1, "ppz", None, "01010100"), (7, "ppz", None, "00111101"),
+            (5, "ppz", None, "00110101"),
+        ],
+        "del": [
+            (1, "del", None, "01010100"), (6, "del", None, "00110101"),
+            (3, "del", None, "00111101"), (3, "del", None, "01011100"),
+            (2, "del", None, "01011110"),
+        ],
+        "delppz": [
+            (3, "del", 2, "00110101"), (1, "del", 3, "01010100"),
+            (2, "del", 2, "01011110"), (2, "del", 2, "00111101"),
+            (1, "del", 1, "00111101"),
+        ],
     },
-    "unsat": {alg: [(10, "failed")] * 5 for alg in ("ppz", "del", "delppz")},
+    "unsat": {
+        alg: [(10, "failed", None, None)] * 5 for alg in ("ppz", "del", "delppz")
+    },
 }
 
 
@@ -125,9 +165,14 @@ def test_delppz_exit_steps(name):
 @pytest.mark.parametrize("algorithm", ["ppz", "del", "delppz"])
 def test_run_trials_and_exit(name, algorithm):
     formula = INSTANCES[name]
+    n = formula.num_vars
     omega = 10 if name == "unsat" else None
     got = []
     for seed in range(5):
         outcome = run(formula, Algorithm(algorithm), seed, omega=omega)
-        got.append((outcome.trials, outcome.exit.value))
+        alpha = outcome.assignment
+        bits = None
+        if alpha is not None:
+            bits = "".join("01"[alpha[v]] for v in range(1, n + 1))
+        got.append((outcome.trials, outcome.exit.value, outcome.exit_step, bits))
     assert got == RUNS[name][algorithm]
